@@ -26,6 +26,7 @@ from .exact import (
     rational_to_decimal,
     sqrt5_reference,
     sqrt5_reference_fraction,
+    sqrt5_within,
     terminating_digits,
 )
 from .golden import (
@@ -41,11 +42,9 @@ from .ratio import (
     PhiMatchResult,
     RatioRecord,
     find_min_n,
-    find_phi_match_n,
     iter_ratio_records,
     phi_match_report,
     ratio_diff,
-    ratio_record,
     sqrt5_via_ratio,
     term_ratio_mu,
     term_ratio_nu,
@@ -89,7 +88,6 @@ __all__ = [
     "digit_cap",
     "emit_report",
     "find_min_n",
-    "find_phi_match_n",
     "int_isqrt",
     "int_nth_root",
     "is_extra_super_increasing",
@@ -109,7 +107,6 @@ __all__ = [
     "phi_series_partial",
     "quadratic_residual",
     "ratio_diff",
-    "ratio_record",
     "rational_to_decimal",
     "read_sequence_file",
     "report_from_json",
@@ -118,6 +115,7 @@ __all__ = [
     "sqrt5_reference_fraction",
     "sqrt5_series_partial",
     "sqrt5_via_ratio",
+    "sqrt5_within",
     "term_ratio_mu",
     "term_ratio_nu",
     "terminating_digits",

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 from .exact import (
     DecimalString,
-    check_digit_cap,
     correct_digits,
     int_nth_root,
     rational_to_decimal,
@@ -31,6 +30,9 @@ from .ratio import PhiMatchResult, find_min_n, iter_ratio_records, phi_match_rep
 from .series import iter_partial_sums
 
 RATE_ESTIMATE_DIGITS = 9
+
+# Reports carry this many reference digits beyond the largest digit target.
+REF_DIGITS_MARGIN = 10
 
 CSV_HEADER = "method,n,approx,abs_error,error_sign,correct_digits"
 
@@ -100,26 +102,22 @@ def _rate_estimate(errors: Sequence[Fraction], digits: int = RATE_ESTIMATE_DIGIT
 
 
 def build_comparison(
-    n_max: int,
-    ref_digits: int,
-    digit_targets: Iterable[int],
-    *,
-    phi_digits: int = 36,
-    guard_digits: int = 10,
-    cap: int | None = None,
+    n_max: int, ref_digits: int, digit_targets: Iterable[int]
 ) -> ComparisonReport:
-    """Sweep both methods to ``n_max`` and assemble the full report."""
+    """Sweep both methods to ``n_max`` and assemble the full report.
+
+    The embedded conjugate match experiment runs at 36 digits.
+    """
     targets = sorted(set(digit_targets))
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if targets and targets[0] < 1:
         raise ValueError("digit targets must be at least 1")
-    if targets and ref_digits < targets[-1] + guard_digits:
+    if targets and ref_digits < targets[-1] + REF_DIGITS_MARGIN:
         raise ValueError(
-            f"ref_digits must be at least max(digit_targets) + {guard_digits}"
+            f"ref_digits must be at least max(digit_targets) + {REF_DIGITS_MARGIN}"
         )
-    check_digit_cap(ref_digits, cap)
-    reference = sqrt5_reference_fraction(ref_digits, cap=ref_digits)
+    reference = sqrt5_reference_fraction(ref_digits)
 
     series_records = []
     series_errors = []
@@ -141,13 +139,7 @@ def build_comparison(
         ratio_records.append(record)
         ratio_errors.append(error)
 
-    first_n = {
-        d: (
-            find_min_n("series", d, guard_digits=guard_digits, cap=cap),
-            find_min_n("ratio", d, guard_digits=guard_digits, cap=cap),
-        )
-        for d in targets
-    }
+    first_n = {d: (find_min_n("series", d), find_min_n("ratio", d)) for d in targets}
     return ComparisonReport(
         n_max=n_max,
         ref_digits=ref_digits,
@@ -156,7 +148,7 @@ def build_comparison(
         series_rate_estimate=_rate_estimate(series_errors),
         ratio_rate_estimate=_rate_estimate(ratio_errors),
         first_n_to_reach=first_n,
-        phi_match=phi_match_report(phi_digits, guard_digits=guard_digits, cap=cap),
+        phi_match=phi_match_report(36),
     )
 
 

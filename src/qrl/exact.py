@@ -46,9 +46,9 @@ def digit_cap() -> int:
     return cap
 
 
-def check_digit_cap(digits: int, cap: int | None = None) -> None:
+def check_digit_cap(digits: int) -> None:
     """Raise :class:`DigitCapExceeded` when ``digits`` exceeds the cap."""
-    limit = digit_cap() if cap is None else cap
+    limit = digit_cap()
     if digits > limit:
         raise DigitCapExceeded(f"{digits} digits requested, cap is {limit}")
 
@@ -117,13 +117,10 @@ class DecimalString:
     int_part: str
     frac_part: str
     frac_digits: int
-    mode: str = "truncate"
 
     def __post_init__(self) -> None:
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")
-        if self.mode != "truncate":
-            raise ValueError(f"unsupported rendering mode {self.mode!r}")
         if len(self.frac_part) != self.frac_digits:
             raise ValueError("frac_part length must equal frac_digits")
         if not self.int_part or not set(self.int_part) <= _ASCII_DIGITS:
@@ -188,26 +185,47 @@ def parse_decimal(text: str) -> Fraction:
     return DecimalString.parse(text).to_fraction()
 
 
-def sqrt5_reference(digits: int, cap: int | None = None) -> DecimalString:
+def sqrt5_reference(digits: int) -> DecimalString:
     """Truncation of sqrt(5) to ``digits`` fractional digits.
 
     Computed as the integer square root of 5 * 10**(2*digits): the floor
     semantics of the square root match truncation semantics exactly, so every
     rendered digit is a true digit of the expansion.
     """
-    if digits < 0:
-        raise ValueError("digit count must be nonnegative")
-    check_digit_cap(digits, cap)
-    root = int_isqrt(5 * 10 ** (2 * digits))
-    return rational_to_decimal(Fraction(root, 10 ** digits), digits)
+    return rational_to_decimal(sqrt5_reference_fraction(digits), digits)
 
 
-def sqrt5_reference_fraction(digits: int, cap: int | None = None) -> Fraction:
+def sqrt5_reference_fraction(digits: int) -> Fraction:
     """The reference value as an exact rational, for error arithmetic."""
     if digits < 0:
         raise ValueError("digit count must be nonnegative")
-    check_digit_cap(digits, cap)
+    check_digit_cap(digits)
     return Fraction(int_isqrt(5 * 10 ** (2 * digits)), 10 ** digits)
+
+
+def sqrt5_within(value: Fraction | int, epsilon: Fraction | int) -> bool:
+    """Decide |value - sqrt(5)| < epsilon exactly, for positive arguments.
+
+    With value = p/q and epsilon = e0/E, scaling by q*E turns the test into
+    |p*E - sqrt(5)*q*E| < e with e = e0*q.  The sign of k = p**2 - 5*q**2
+    tells which side of sqrt(5) the value is on, so only the bound that can
+    fail is squared and compared, in integers.
+
+    >>> sqrt5_within(Fraction(682, 305), Fraction(1, 10**5))
+    True
+    >>> sqrt5_within(Fraction(682, 305), Fraction(1, 10**6))
+    False
+    """
+    value, epsilon = Fraction(value), Fraction(epsilon)
+    if value <= 0 or epsilon <= 0:
+        raise ValueError("value and tolerance must be positive")
+    p, q = value.numerator, value.denominator
+    scale = epsilon.denominator
+    e = epsilon.numerator * q
+    k = p * p - 5 * q * q
+    if k < 0:
+        return e * (2 * p * scale + e) > -k * scale * scale
+    return p * scale <= e or e * (2 * p * scale - e) > k * scale * scale
 
 
 def abs_error(a: Fraction | int, b: Fraction | int) -> Fraction:

@@ -69,12 +69,12 @@ def phi_series_partial(terms: int) -> PhiApproximant:
     return PhiApproximant(total, "series", terms)
 
 
-def phi_oracle(digits: int, cap: int | None = None) -> PhiApproximant:
+def phi_oracle(digits: int) -> PhiApproximant:
     """(sqrt(5) + 1) / 2 from the integer-square-root reference.
 
     Independent of both approximation routes above; used to referee them.
     """
-    value = (sqrt5_reference_fraction(digits, cap) + 1) / 2
+    value = (sqrt5_reference_fraction(digits) + 1) / 2
     return PhiApproximant(value, "from_sqrt5_oracle", digits)
 
 

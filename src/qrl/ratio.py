@@ -9,7 +9,8 @@ below, one-sidedly and monotonically.
 
 Sweeps carry a rolling pair of sequence terms, so a scan to index N costs
 O(N) big-integer operations and no shared state; point queries recompute
-their own prefix.
+their own prefix.  Searches decide each threshold exactly with
+:func:`qrl.exact.sqrt5_within`, so no truncated reference is built.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import (
-    check_digit_cap,
-    rational_to_decimal,
-    sqrt5_reference_fraction,
-)
-from .sequences import minimal_super
+from .exact import check_digit_cap, int_isqrt, sqrt5_within
 from .series import iter_partial_sums
 
 # Externally claimed index for a 36-digit conjugate match; carried in reports
@@ -68,11 +64,10 @@ def _z_pair(i: int) -> tuple[int, int]:
 
 
 def term_ratio_mu(i: int) -> Fraction:
-    """a_i / a_{i-1} computed from generated minimal super-increasing terms."""
+    """a_i / a_{i-1}, which is 2 at every index because a_i = 2**i."""
     if i < 1:
         raise ValueError("term ratios start at index 1")
-    terms = minimal_super(i).terms
-    return Fraction(terms[i], terms[i - 1])
+    return Fraction(2)
 
 
 def term_ratio_nu(i: int) -> Fraction:
@@ -103,105 +98,70 @@ def sqrt5_via_ratio(n: int) -> Fraction:
     return 2 * ratio_diff(n) + 1
 
 
-def ratio_record(i: int) -> RatioRecord:
-    mu = term_ratio_mu(i)
-    nu = term_ratio_nu(i)
-    diff = nu - mu
-    return RatioRecord(i, mu, nu, diff, 2 * diff + 1)
-
-
 def iter_ratio_records(start: int = 1) -> Iterator[RatioRecord]:
     """Rolling sweep of records from ``start`` upward, O(1) work per step."""
     if start < 1:
         raise ValueError("term ratios start at index 1")
     z_prev, z_cur = _z_pair(start)
-    a_prev, a_cur = 1 << (start - 1), 1 << start
+    mu = Fraction(2)
     i = start
     while True:
-        mu = Fraction(a_cur, a_prev)
         nu = Fraction(z_cur, z_prev)
         diff = nu - mu
         yield RatioRecord(i, mu, nu, diff, 2 * diff + 1)
         z_prev, z_cur = z_cur, 3 * z_cur - z_prev
-        a_prev, a_cur = a_cur, 2 * a_cur
         i += 1
 
 
-def find_min_n(
-    method: str,
-    target_digits: int,
-    *,
-    guard_digits: int = 10,
-    cap: int | None = None,
-) -> int:
+def find_min_n(method: str, target_digits: int) -> int:
     """Smallest n with |approx(n) - sqrt(5)| < 10**-target_digits.
 
-    The reference carries ``guard_digits`` extra digits so the threshold
-    verdict is reliable.  A linear scan from n = 1 returns the minimum
+    Each verdict is exact.  A linear scan from n = 1 returns the minimum
     because both methods have strictly decreasing absolute error.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     if target_digits < 1:
         raise ValueError("target digit count must be at least 1")
-    check_digit_cap(target_digits, cap)
-    oracle_digits = target_digits + guard_digits
-    reference = sqrt5_reference_fraction(oracle_digits, cap=oracle_digits)
+    check_digit_cap(target_digits)
     epsilon = Fraction(1, 10 ** target_digits)
     if method == "series":
         for n, partial in iter_partial_sums():
-            if n >= 1 and abs(partial - reference) < epsilon:
+            if n >= 1 and sqrt5_within(partial, epsilon):
                 return n
     else:
         for record in iter_ratio_records():
-            if abs(record.sqrt5_approx - reference) < epsilon:
+            if sqrt5_within(record.sqrt5_approx, epsilon):
                 return record.index
     raise AssertionError("unreachable")
 
 
-def phi_match_report(
-    precision_digits: int,
-    *,
-    guard_digits: int = 10,
-    cap: int | None = None,
-) -> PhiMatchResult:
+def phi_match_report(precision_digits: int) -> PhiMatchResult:
     """Find the smallest matching index under both equality notions.
 
     The strict notion asks for absolute error below 10**-precision_digits
-    against the conjugate reference (sqrt(5) - 1) / 2 carried at
-    ``guard_digits`` extra digits.  The prefix notion asks for the truncated
-    decimal renderings of the difference and of the reference to agree on
-    the first ``precision_digits`` fractional digits.
+    against the conjugate (sqrt(5) - 1) / 2; since the approximant is
+    2 * diff + 1, that is |2 * diff + 1 - sqrt(5)| < 2 * 10**-precision_digits.
+    The prefix notion asks for the truncated decimal renderings of the
+    difference and of the conjugate to agree on the first
+    ``precision_digits`` fractional digits, i.e. for floor(10**p * diff) to
+    equal floor(10**p * conjugate) = (isqrt(5 * 10**(2p)) - 10**p) // 2.
     """
     if precision_digits < 1:
         raise ValueError("precision must be at least 1 digit")
-    check_digit_cap(precision_digits, cap)
-    oracle_digits = precision_digits + guard_digits
-    conjugate = (sqrt5_reference_fraction(oracle_digits, cap=oracle_digits) - 1) / 2
-    epsilon = Fraction(1, 10 ** precision_digits)
-    wanted_prefix = str(rational_to_decimal(conjugate, precision_digits))
+    check_digit_cap(precision_digits)
+    scale = 10 ** precision_digits
+    epsilon = Fraction(2, scale)
+    wanted_prefix = (int_isqrt(5 * scale * scale) - scale) // 2
     strict_n: int | None = None
     prefix_n: int | None = None
     for record in iter_ratio_records():
-        if strict_n is None and abs(record.diff - conjugate) < epsilon:
+        if strict_n is None and sqrt5_within(record.sqrt5_approx, epsilon):
             strict_n = record.index
         if prefix_n is None and (
-            str(rational_to_decimal(record.diff, precision_digits)) == wanted_prefix
+            record.diff.numerator * scale // record.diff.denominator == wanted_prefix
         ):
             prefix_n = record.index
         if strict_n is not None and prefix_n is not None:
             return PhiMatchResult(precision_digits, strict_n, prefix_n)
     raise AssertionError("unreachable")
-
-
-def find_phi_match_n(
-    precision_digits: int,
-    *,
-    guard_digits: int = 10,
-    cap: int | None = None,
-) -> int:
-    """Smallest n whose term ratio difference matches the conjugate strictly."""
-    report = phi_match_report(
-        precision_digits, guard_digits=guard_digits, cap=cap
-    )
-    return report.strict_error_n

@@ -25,8 +25,8 @@ from qrl.exact import (
 )
 from qrl.golden import phi_conjugate, phi_continued_fraction, phi_oracle, phi_series_partial
 from qrl.ratio import (
-    find_phi_match_n,
     iter_ratio_records,
+    phi_match_report,
     ratio_diff,
     sqrt5_via_ratio,
     term_ratio_nu,
@@ -135,7 +135,7 @@ def test_criterion_04_phi_to_36_digits_by_both_methods():
 
 
 def test_criterion_05_conjugate_match_experiment():
-    n = find_phi_match_n(36)
+    n = phi_match_report(36).strict_error_n
     conjugate = (sqrt5_reference_fraction(46) - 1) / 2
     epsilon = Fraction(1, 10 ** 36)
     consistent = (

@@ -9,7 +9,7 @@ from qrl.analysis import (
     emit_report,
     report_from_json,
 )
-from qrl.exact import DigitCapExceeded, parse_decimal, sqrt5_reference_fraction
+from qrl.exact import DIGIT_CAP_ENV, DigitCapExceeded, parse_decimal, sqrt5_reference_fraction
 from qrl.ratio import sqrt5_via_ratio
 from qrl.series import sqrt5_series_partial
 
@@ -80,15 +80,16 @@ class TestBuildComparison:
         limit = (7 - 3 * sqrt5_reference_fraction(60)) / 2
         assert abs(ratio_rate - limit) <= limit / 100
 
-    def test_preconditions(self):
+    def test_preconditions(self, monkeypatch):
         with pytest.raises(ValueError):
             build_comparison(1, 40, [])
         with pytest.raises(ValueError):
             build_comparison(4, 14, [5])
         with pytest.raises(ValueError):
             build_comparison(4, 40, [0])
+        monkeypatch.setenv(DIGIT_CAP_ENV, "50")
         with pytest.raises(DigitCapExceeded):
-            build_comparison(4, 100, [], cap=50)
+            build_comparison(4, 100, [])
 
     def test_ratio_reaches_targets_no_later_from_twelve_digits(self):
         # below twelve digits the series method still gets there first

@@ -17,6 +17,7 @@ from qrl.exact import (
     rational_to_decimal,
     sqrt5_reference,
     sqrt5_reference_fraction,
+    sqrt5_within,
     terminating_digits,
 )
 
@@ -112,8 +113,6 @@ class TestDecimalString:
         with pytest.raises(ValueError):
             DecimalString(sign=1, int_part="", frac_part="", frac_digits=0)
         with pytest.raises(ValueError):
-            DecimalString(sign=1, int_part="1", frac_part="", frac_digits=0, mode="round")
-        with pytest.raises(ValueError):
             DecimalString(sign=1, int_part="1²", frac_part="", frac_digits=0)
 
     def test_parse_fields(self):
@@ -154,12 +153,13 @@ class TestSqrt5Reference:
         assert q ** 2 < 5
         assert (q + Fraction(1, 10 ** 12)) ** 2 > 5
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(DigitCapExceeded):
             sqrt5_reference(exact.DEFAULT_DIGIT_CAP + 1)
+        monkeypatch.setenv(exact.DIGIT_CAP_ENV, "30")
         with pytest.raises(DigitCapExceeded):
-            sqrt5_reference(31, cap=30)
-        assert str(sqrt5_reference(30, cap=30)).startswith("2.2360")
+            sqrt5_reference(31)
+        assert str(sqrt5_reference(30)).startswith("2.2360")
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv(exact.DIGIT_CAP_ENV, "50")
@@ -175,6 +175,61 @@ class TestSqrt5Reference:
         monkeypatch.setenv(exact.DIGIT_CAP_ENV, "-3")
         with pytest.raises(ValueError):
             exact.digit_cap()
+
+
+def _truncation(digits):
+    """sqrt(5) truncated to ``digits`` fractional digits, as a Fraction."""
+    return Fraction(int_isqrt(5 * 10 ** (2 * digits)), 10 ** digits)
+
+
+def _within_by_squares(a, eps):
+    # |a - sqrt5| < eps  <=>  (a - eps)**2 < 5 < (a + eps)**2, lower side
+    # trivially true when a - eps <= 0
+    return (a - eps <= 0 or (a - eps) ** 2 < 5) and 5 < (a + eps) ** 2
+
+
+class TestSqrt5Within:
+    @pytest.mark.parametrize("d", [1, 5, 36, 200])
+    def test_just_inside_above_sqrt5(self, d):
+        # the truncation sits less than 10**-(d+20) below sqrt(5), so adding
+        # 10**-d lands above sqrt(5) and strictly within 10**-d of it
+        eps = Fraction(1, 10 ** d)
+        value = _truncation(d + 20) + eps
+        assert value ** 2 > 5
+        assert sqrt5_within(value, eps)
+        # a reference carrying only 10 guard digits puts it outside
+        assert abs(value - _truncation(d + 10)) >= eps
+
+    @pytest.mark.parametrize("d", [1, 5, 36, 200])
+    def test_inside_and_outside_below_sqrt5(self, d):
+        eps = Fraction(1, 10 ** d)
+        rounded_up = _truncation(d + 20) + Fraction(1, 10 ** (d + 20))
+        inside = rounded_up - eps
+        outside = _truncation(d + 20) - eps
+        assert inside ** 2 < 5 and outside ** 2 < 5
+        assert sqrt5_within(inside, eps)
+        assert not sqrt5_within(outside, eps)
+        # a reference carrying only 10 guard digits puts ``outside`` inside
+        assert abs(outside - _truncation(d + 10)) < eps
+
+    def test_tolerance_reaching_below_zero(self):
+        # a - eps <= 0: only the upper bound can fail
+        assert sqrt5_within(3, 3)
+        assert sqrt5_within(3, 4)
+        assert sqrt5_within(Fraction(1, 2), 2)
+        assert not sqrt5_within(Fraction(1, 2), Fraction(3, 2))
+
+    def test_nonpositive_arguments_rejected(self):
+        for value, eps in ((0, 1), (-3, 1), (2, 0), (2, Fraction(-1, 10))):
+            with pytest.raises(ValueError):
+                sqrt5_within(value, eps)
+
+    @given(
+        st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10, max_denominator=10 ** 9),
+        st.fractions(min_value=Fraction(1, 10 ** 12), max_value=5, max_denominator=10 ** 12),
+    )
+    def test_agrees_with_squared_bounds(self, value, eps):
+        assert sqrt5_within(value, eps) == _within_by_squares(value, eps)
 
 
 class TestAbsError:

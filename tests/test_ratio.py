@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qrl.exact import (
+    DIGIT_CAP_ENV,
     DigitCapExceeded,
     rational_to_decimal,
     sqrt5_reference_fraction,
@@ -14,15 +15,14 @@ from qrl.golden import quadratic_residual
 from qrl.ratio import (
     CLAIMED_PHI_MATCH_N,
     find_min_n,
-    find_phi_match_n,
     iter_ratio_records,
     phi_match_report,
     ratio_diff,
-    ratio_record,
     sqrt5_via_ratio,
     term_ratio_mu,
     term_ratio_nu,
 )
+from qrl.series import iter_partial_sums
 
 from reference_data import (
     DIFF_TRUNCATED,
@@ -41,6 +41,36 @@ def fibonacci(limit):
 
 def frac_digits_of(text):
     return len(text.partition(".")[2])
+
+
+# Agreement checks scan against a reference carrying 40 guard digits.
+AGREEMENT_DIGITS = (1, 5, 8, 15, 36)
+
+
+def scan_min_n(method, digits):
+    reference = sqrt5_reference_fraction(digits + 40)
+    epsilon = Fraction(1, 10 ** digits)
+    if method == "series":
+        values = ((n, s) for n, s in iter_partial_sums() if n >= 1)
+    else:
+        values = ((r.index, r.sqrt5_approx) for r in iter_ratio_records())
+    for n, value in values:
+        if abs(value - reference) < epsilon:
+            return n
+
+
+def scan_phi_match(digits):
+    conjugate = (sqrt5_reference_fraction(digits + 40) - 1) / 2
+    epsilon = Fraction(1, 10 ** digits)
+    wanted = str(rational_to_decimal(conjugate, digits))
+    strict_n = prefix_n = None
+    for record in iter_ratio_records():
+        if strict_n is None and abs(record.diff - conjugate) < epsilon:
+            strict_n = record.index
+        if prefix_n is None and str(rational_to_decimal(record.diff, digits)) == wanted:
+            prefix_n = record.index
+        if strict_n and prefix_n:
+            return strict_n, prefix_n
 
 
 class TestTermRatios:
@@ -106,7 +136,7 @@ class TestSqrt5ViaRatio:
 
     def test_record_invariants(self):
         for i in (1, 2, 7, 40):
-            record = ratio_record(i)
+            record = next(iter_ratio_records(start=i))
             assert record.mu == 2
             assert record.diff == record.nu - 2
             assert record.sqrt5_approx == 2 * record.nu - 3
@@ -176,25 +206,24 @@ class TestFindMinN:
         assert find_min_n("series", 5) == 5
         assert find_min_n("series", 8) == 10
 
-    def test_guard_digit_insensitivity(self):
-        for digits in (1, 5, 8):
+    def test_agrees_with_reference_scan(self):
+        for digits in AGREEMENT_DIGITS:
             for method in ("ratio", "series"):
-                assert find_min_n(method, digits) == find_min_n(
-                    method, digits, guard_digits=20
-                )
+                assert find_min_n(method, digits) == scan_min_n(method, digits)
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
         with pytest.raises(ValueError):
             find_min_n("bisection", 5)
         with pytest.raises(ValueError):
             find_min_n("ratio", 0)
+        monkeypatch.setenv(DIGIT_CAP_ENV, "50")
         with pytest.raises(DigitCapExceeded):
-            find_min_n("ratio", 100, cap=50)
+            find_min_n("ratio", 100)
 
 
 class TestPhiMatch:
     def test_single_digit(self):
-        assert find_phi_match_n(1) == 3
+        assert phi_match_report(1).strict_error_n == 3
 
     def test_fifteen_digits(self):
         report = phi_match_report(15)
@@ -209,7 +238,7 @@ class TestPhiMatch:
         assert report.claimed_n == CLAIMED_PHI_MATCH_N == 40
 
     def test_strict_contract_at_36(self):
-        n = find_phi_match_n(36)
+        n = phi_match_report(36).strict_error_n
         epsilon = Fraction(1, 10 ** 36)
         conjugate = (sqrt5_reference_fraction(46) - 1) / 2
         assert abs(ratio_diff(n) - conjugate) < epsilon
@@ -222,12 +251,14 @@ class TestPhiMatch:
         assert str(rational_to_decimal(ratio_diff(report.prefix_n), 36)) == wanted
         assert str(rational_to_decimal(ratio_diff(report.prefix_n - 1), 36)) != wanted
 
-    def test_guard_digit_insensitivity(self):
-        for digits in (1, 15, 36):
-            assert phi_match_report(digits) == phi_match_report(digits, guard_digits=20)
+    def test_agrees_with_reference_scan(self):
+        for digits in AGREEMENT_DIGITS:
+            report = phi_match_report(digits)
+            assert (report.strict_error_n, report.prefix_n) == scan_phi_match(digits)
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
         with pytest.raises(ValueError):
             phi_match_report(0)
+        monkeypatch.setenv(DIGIT_CAP_ENV, "50")
         with pytest.raises(DigitCapExceeded):
-            phi_match_report(60, cap=50)
+            phi_match_report(60)
