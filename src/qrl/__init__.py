@@ -17,10 +17,8 @@ from .analysis import (
 from .exact import (
     DecimalString,
     DigitCapExceeded,
-    abs_error,
     correct_digits,
     digit_cap,
-    int_isqrt,
     int_nth_root,
     parse_decimal,
     rational_to_decimal,
@@ -61,10 +59,8 @@ from .sequences import (
     read_sequence_file,
 )
 from .series import (
-    SeriesTerm,
     binomial_coefficient_term,
     iter_partial_sums,
-    iter_terms,
     sqrt5_series_partial,
 )
 
@@ -79,22 +75,18 @@ __all__ = [
     "PhiApproximant",
     "PhiMatchResult",
     "RatioRecord",
-    "SeriesTerm",
     "ValidationResult",
-    "abs_error",
     "binomial_coefficient_term",
     "build_comparison",
     "correct_digits",
     "digit_cap",
     "emit_report",
     "find_min_n",
-    "int_isqrt",
     "int_nth_root",
     "is_extra_super_increasing",
     "is_super_increasing",
     "iter_partial_sums",
     "iter_ratio_records",
-    "iter_terms",
     "minimal_extra_super",
     "minimal_extra_super_fast",
     "minimal_super",

@@ -1,11 +1,16 @@
 """Convergence comparison between the two sqrt(5) methods, plus serialization.
 
-A comparison report sweeps both approximation methods over n = 1..n_max
-against the integer-square-root reference, records per-n error data, fits a
-per-step convergence rate (geometric mean of successive error ratios over the
-back half of the sweep, where small-n transients have died down), scans for
-the first n reaching each requested digit target, and embeds the conjugate
-match experiment.
+A comparison report sweeps both approximation methods over n = 1..n_max,
+reading each approximant as an integer pair p/q from
+:func:`qrl.ratio.iter_approximants` (z_n pairs for the ratio method, N_n over
+16**n for the series).  Each record is scored in fixed point against the
+integer-square-root reference R = floor(sqrt(5) * 10**D): the scaled error is
+the integer gap p * 10**D - R * q over q, so approximants, errors and digit
+counts come from integer floors, not from ``Fraction`` arithmetic.  The
+report fits a per-step convergence rate (geometric mean of successive error
+ratios over the back half of the sweep, where small-n transients have died
+down), scans for the first n reaching each requested digit target, and
+embeds the conjugate match experiment.
 
 All serialization is deterministic: stable key order, stable column order,
 decimal strings rather than binary floats.  Identical inputs produce
@@ -17,17 +22,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable
 
 from .exact import (
     DecimalString,
     correct_digits,
     int_nth_root,
     rational_to_decimal,
-    sqrt5_reference_fraction,
+    render_scaled,
+    sqrt5_floor,
 )
-from .ratio import PhiMatchResult, find_min_n, iter_ratio_records, phi_match_report
-from .series import iter_partial_sums
+from .ratio import PhiMatchResult, find_min_n, iter_approximants, phi_match_report
 
 RATE_ESTIMATE_DIGITS = 9
 
@@ -62,41 +68,51 @@ class ComparisonReport:
     phi_match: PhiMatchResult
 
 
-def _record(n: int, value: Fraction, reference: Fraction, ref_digits: int) -> tuple[ConvergenceRecord, Fraction]:
-    error = value - reference
-    magnitude = abs(error)
-    if error > 0:
-        sign = 1
-    elif error < 0:
-        sign = -1
+def _record(
+    n: int, p: int, q: int, root: int, scale: int, ref_digits: int
+) -> tuple[ConvergenceRecord, tuple[int, int]]:
+    """Record for p/q against root / scale, where scale = 10**ref_digits.
+
+    Also returns the error times ``scale`` as the pair (|gap|, q).
+    """
+    gap = p * scale - root * q
+    magnitude = abs(gap)
+    abs_error = render_scaled(1, magnitude // q, ref_digits)
+    if abs_error.int_part != "0":
+        digits = 0
+    elif magnitude >= q:
+        # |error| < 10**-d  <=>  floor(|error| * scale) < 10**(ref_digits - d)
+        digits = ref_digits - len(abs_error.frac_part.lstrip("0"))
+    elif magnitude:
+        digits = correct_digits(Fraction(magnitude, q * scale))
     else:
-        sign = 0
-    digits = correct_digits(magnitude) if magnitude else ref_digits
+        digits = ref_digits
     record = ConvergenceRecord(
         n=n,
-        approx=rational_to_decimal(value, ref_digits),
-        abs_error=rational_to_decimal(magnitude, ref_digits),
-        error_sign=sign,
+        approx=render_scaled(1, p * scale // q, ref_digits),
+        abs_error=abs_error,
+        error_sign=(gap > 0) - (gap < 0),
         correct_digits=digits,
     )
-    return record, magnitude
+    return record, (magnitude, q)
 
 
-def _rate_estimate(errors: Sequence[Fraction], digits: int = RATE_ESTIMATE_DIGITS) -> DecimalString:
-    """Geometric mean of successive error ratios over the back half.
+def _rate_estimate(
+    first: tuple[int, int], last: tuple[int, int], steps: int,
+    digits: int = RATE_ESTIMATE_DIGITS,
+) -> DecimalString:
+    """Geometric mean of the ``steps`` successive error ratios from ``first`` to ``last``.
 
-    Equals (err[last] / err[first_of_back_half]) ** (1/steps); the root is
-    taken with exact integer arithmetic and the result truncated.
+    The errors are integer pairs (num, den), scaled by any common factor.
+    Equals (last / first) ** (1/steps); the root is taken with exact integer
+    arithmetic and the result truncated.
     """
-    n_max = len(errors)
-    half = n_max // 2
-    steps = n_max - half
-    if errors[half - 1] == 0 or errors[n_max - 1] == 0:
+    (first_num, first_den), (last_num, last_den) = first, last
+    if first_num == 0 or last_num == 0:
         # an approximant hit the truncated reference exactly; no rate to fit
         return rational_to_decimal(Fraction(0), digits)
-    overall = errors[n_max - 1] / errors[half - 1]
     scale = 10 ** (digits * steps)
-    scaled = overall.numerator * scale // overall.denominator
+    scaled = last_num * first_den * scale // (last_den * first_num)
     root = int_nth_root(scaled, steps)
     return rational_to_decimal(Fraction(root, 10 ** digits), digits)
 
@@ -117,56 +133,47 @@ def build_comparison(
         raise ValueError(
             f"ref_digits must be at least max(digit_targets) + {REF_DIGITS_MARGIN}"
         )
-    reference = sqrt5_reference_fraction(ref_digits)
-
-    series_records = []
-    series_errors = []
-    for n, partial in iter_partial_sums():
-        if n == 0:
-            continue
-        if n > n_max:
-            break
-        record, error = _record(n, partial, reference, ref_digits)
-        series_records.append(record)
-        series_errors.append(error)
-
-    ratio_records = []
-    ratio_errors = []
-    for sweep in iter_ratio_records():
-        if sweep.index > n_max:
-            break
-        record, error = _record(sweep.index, sweep.sqrt5_approx, reference, ref_digits)
-        ratio_records.append(record)
-        ratio_errors.append(error)
+    root = sqrt5_floor(ref_digits)
+    scale = 10 ** ref_digits
+    # The rate fit reads the errors at n = half and n = n_max, the ends of the back half.
+    half = n_max // 2
+    records = {}
+    rates = {}
+    for method in ("series", "ratio"):
+        rows = []
+        for n, p, q in islice(iter_approximants(method), n_max):
+            record, error = _record(n, p, q, root, scale, ref_digits)
+            rows.append(record)
+            if n == half:
+                first = error
+        records[method] = tuple(rows)
+        rates[method] = _rate_estimate(first, error, n_max - half)
 
     first_n = {d: (find_min_n("series", d), find_min_n("ratio", d)) for d in targets}
     return ComparisonReport(
         n_max=n_max,
         ref_digits=ref_digits,
-        series_records=tuple(series_records),
-        ratio_records=tuple(ratio_records),
-        series_rate_estimate=_rate_estimate(series_errors),
-        ratio_rate_estimate=_rate_estimate(ratio_errors),
+        series_records=records["series"],
+        ratio_records=records["ratio"],
+        series_rate_estimate=rates["series"],
+        ratio_rate_estimate=rates["ratio"],
         first_n_to_reach=first_n,
         phi_match=phi_match_report(36),
     )
 
 
-def _records_payload(records: tuple[ConvergenceRecord, ...]) -> list[dict]:
-    return [
-        {
-            "n": r.n,
-            "approx": str(r.approx),
-            "abs_error": str(r.abs_error),
-            "error_sign": r.error_sign,
-            "correct_digits": r.correct_digits,
-        }
-        for r in records
-    ]
+def _json_record(r: ConvergenceRecord, end: str) -> str:
+    # One records-array element as json.dumps(..., indent=2) lays it out; the
+    # decimal strings hold only digits, "." and "-", so nothing needs escaping.
+    return (
+        f'    {{\n      "n": {r.n},\n      "approx": "{r.approx}",\n'
+        f'      "abs_error": "{r.abs_error}",\n      "error_sign": {r.error_sign},\n'
+        f'      "correct_digits": {r.correct_digits}\n    }}{end}'
+    )
 
 
 def _to_json(report: ComparisonReport) -> str:
-    payload = {
+    head = {
         "n_max": report.n_max,
         "ref_digits": report.ref_digits,
         "series_rate_estimate": str(report.series_rate_estimate),
@@ -181,10 +188,22 @@ def _to_json(report: ComparisonReport) -> str:
             "prefix_n": report.phi_match.prefix_n,
             "claimed_n": report.phi_match.claimed_n,
         },
-        "series_records": _records_payload(report.series_records),
-        "ratio_records": _records_payload(report.ratio_records),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    # Each records element is one string, so every decimal string is copied
+    # once on its way to the output; the layout is byte for byte that of
+    # json.dumps(..., indent=2) on the full payload.
+    pieces = [json.dumps(head, indent=2).removesuffix("\n}")]
+    for key, records in (
+        ("series_records", report.series_records),
+        ("ratio_records", report.ratio_records),
+    ):
+        pieces.append(f',\n  "{key}": [\n')
+        last = len(records) - 1
+        pieces.extend(
+            _json_record(r, ",\n" if i < last else "\n  ]") for i, r in enumerate(records)
+        )
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def report_from_json(data: bytes | str) -> ComparisonReport:
@@ -227,40 +246,39 @@ def report_from_json(data: bytes | str) -> ComparisonReport:
 
 
 def _to_csv(report: ComparisonReport) -> str:
-    lines = [CSV_HEADER]
+    pieces = [CSV_HEADER + "\n"]
     for method, records in (
         ("series", report.series_records),
         ("ratio", report.ratio_records),
     ):
-        for r in records:
-            lines.append(
-                f"{method},{r.n},{r.approx},{r.abs_error},{r.error_sign},{r.correct_digits}"
-            )
-    return "\n".join(lines) + "\n"
+        pieces.extend(
+            f"{method},{r.n},{r.approx},{r.abs_error},{r.error_sign},{r.correct_digits}\n"
+            for r in records
+        )
+    return "".join(pieces)
+
+
+_TABLE_HEADER = ("method", "n", "approx", "abs_error", "sign", "correct")
+
+
+def _table_cells(method: str, r: ConvergenceRecord) -> tuple[str, ...]:
+    return (
+        method,
+        str(r.n),
+        str(r.approx),
+        str(r.abs_error),
+        f"{r.error_sign:+d}",
+        str(r.correct_digits),
+    )
 
 
 def _to_table(report: ComparisonReport) -> str:
-    rows = []
-    for method, records in (
-        ("series", report.series_records),
-        ("ratio", report.ratio_records),
-    ):
+    sections = (("series", report.series_records), ("ratio", report.ratio_records))
+    # Two passes over the records, widths first, so that no row outlives its line.
+    widths = [len(cell) for cell in _TABLE_HEADER]
+    for method, records in sections:
         for r in records:
-            rows.append(
-                (
-                    method,
-                    str(r.n),
-                    str(r.approx),
-                    str(r.abs_error),
-                    f"{r.error_sign:+d}",
-                    str(r.correct_digits),
-                )
-            )
-    header = ("method", "n", "approx", "abs_error", "sign", "correct")
-    widths = [
-        max(len(header[col]), max(len(row[col]) for row in rows))
-        for col in range(len(header))
-    ]
+            widths = [max(w, len(c)) for w, c in zip(widths, _table_cells(method, r))]
 
     def fmt(row):
         return "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
@@ -279,9 +297,12 @@ def _to_table(report: ComparisonReport) -> str:
         f"claimed n={match.claimed_n}"
     )
     lines.append("")
-    lines.append(fmt(header))
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    lines.append(fmt(_TABLE_HEADER))
+    pieces = ["\n".join(lines) + "\n"]
+    pieces.extend(
+        fmt(_table_cells(method, r)) + "\n" for method, records in sections for r in records
+    )
+    return "".join(pieces)
 
 
 def emit_report(report: ComparisonReport, format: str) -> bytes:

@@ -19,6 +19,7 @@ of 100,000 digits.  All output is UTF-8 and line-feed terminated.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, exact, golden, ratio, sequences, series
@@ -145,11 +146,10 @@ def _cmd_sqrt5(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         if args.n < 0:
             raise ValueError("--n must be nonnegative for the series method")
         value = series.sqrt5_series_partial(args.n)
-        digits = (
-            args.digits
-            if args.digits is not None
-            else exact.terminating_digits(value)
-        )
+        digits = args.digits
+        if digits is None:
+            digits = exact.terminating_digits(value)
+            exact.check_digit_cap(digits)
     else:
         if args.n < 1:
             raise ValueError("--n must be at least 1 for the ratio method")
@@ -228,6 +228,11 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_phi_match(args)
         if args.command == "compare":
             return _cmd_compare(args)
+    except BrokenPipeError:
+        # The reader closed the pipe (`qrl ... | head`): stop quietly, and
+        # point stdout at devnull so the interpreter's final flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as err:
         # DigitCapExceeded is a ValueError; bad paths surface as OSError
         print(f"error: {err}", file=sys.stderr)

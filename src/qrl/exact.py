@@ -70,17 +70,6 @@ def _str_int(s: str) -> int:
     return int(s)
 
 
-def int_isqrt(x: int) -> int:
-    """Floor of the square root: the result r satisfies r*r <= x < (r+1)**2.
-
-    >>> int_isqrt(50000)
-    223
-    """
-    if x < 0:
-        raise ValueError("integer square root of a negative number")
-    return math.isqrt(x)
-
-
 def int_nth_root(x: int, n: int) -> int:
     """Floor of the n-th root of a nonnegative integer."""
     if n <= 0:
@@ -169,9 +158,12 @@ def rational_to_decimal(q: Fraction | int, digits: int) -> DecimalString:
         raise ValueError("digit count must be nonnegative")
     q = Fraction(q)
     sign = -1 if q < 0 else 1
-    scale = 10 ** digits
-    scaled = abs(q.numerator) * scale // q.denominator
-    int_part, frac_part = divmod(scaled, scale)
+    return render_scaled(sign, abs(q.numerator) * 10 ** digits // q.denominator, digits)
+
+
+def render_scaled(sign: int, scaled: int, digits: int) -> DecimalString:
+    """The value sign * scaled / 10**digits, for a nonnegative integer ``scaled``."""
+    int_part, frac_part = divmod(scaled, 10 ** digits)
     return DecimalString(
         sign=sign,
         int_part=_int_str(int_part),
@@ -197,10 +189,15 @@ def sqrt5_reference(digits: int) -> DecimalString:
 
 def sqrt5_reference_fraction(digits: int) -> Fraction:
     """The reference value as an exact rational, for error arithmetic."""
+    return Fraction(sqrt5_floor(digits), 10 ** digits)
+
+
+def sqrt5_floor(digits: int) -> int:
+    """floor(sqrt(5) * 10**digits): the reference digits as one integer."""
     if digits < 0:
         raise ValueError("digit count must be nonnegative")
     check_digit_cap(digits)
-    return Fraction(int_isqrt(5 * 10 ** (2 * digits)), 10 ** digits)
+    return math.isqrt(5 * 10 ** (2 * digits))
 
 
 def sqrt5_within(value: Fraction | int, epsilon: Fraction | int) -> bool:
@@ -217,20 +214,24 @@ def sqrt5_within(value: Fraction | int, epsilon: Fraction | int) -> bool:
     False
     """
     value, epsilon = Fraction(value), Fraction(epsilon)
-    if value <= 0 or epsilon <= 0:
+    return sqrt5_within_pq(
+        value.numerator, value.denominator, epsilon.numerator, epsilon.denominator
+    )
+
+
+def sqrt5_within_pq(p: int, q: int, e0: int, scale: int) -> bool:
+    """:func:`sqrt5_within` on value p/q and tolerance e0/scale, all positive.
+
+    The pairs need not be in lowest terms: the test is homogeneous in (p, q)
+    and in (e0, scale), so a common factor changes no verdict.
+    """
+    if p <= 0 or q <= 0 or e0 <= 0 or scale <= 0:
         raise ValueError("value and tolerance must be positive")
-    p, q = value.numerator, value.denominator
-    scale = epsilon.denominator
-    e = epsilon.numerator * q
+    e = e0 * q
     k = p * p - 5 * q * q
     if k < 0:
         return e * (2 * p * scale + e) > -k * scale * scale
     return p * scale <= e or e * (2 * p * scale - e) > k * scale * scale
-
-
-def abs_error(a: Fraction | int, b: Fraction | int) -> Fraction:
-    """Exact absolute difference |a - b|."""
-    return abs(Fraction(a) - Fraction(b))
 
 
 def terminating_digits(q: Fraction | int) -> int | None:
@@ -240,10 +241,8 @@ def terminating_digits(q: Fraction | int) -> int | None:
     has a prime factor other than 2 and 5).
     """
     den = Fraction(q).denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
     fives = 0
     while den % 5 == 0:
         den //= 5

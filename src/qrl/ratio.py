@@ -7,26 +7,29 @@ of the golden ratio.  The difference nu_i - mu_i therefore climbs toward the
 golden ratio conjugate, and 2 * (nu_i - mu_i) + 1 approximates sqrt(5) from
 below, one-sidedly and monotonically.
 
-Sweeps carry a rolling pair of sequence terms, so a scan to index N costs
-O(N) big-integer operations and no shared state; point queries recompute
-their own prefix.  Searches decide each threshold exactly with
-:func:`qrl.exact.sqrt5_within`, so no truncated reference is built.
+Every nu value and approximant here reads the one z recurrence,
+:func:`qrl.sequences.iter_minimal_extra_super`, so a scan to index N costs
+O(N) big-integer operations and no shared state.  The n-th approximant is
+the integer pair (2*z_n - 3*z_{n-1}, z_{n-1}); searches take such pairs, and
+those of the series, from :func:`iter_approximants` and decide each
+threshold exactly with :func:`qrl.exact.sqrt5_within_pq`, with no gcd per
+step and no truncated reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, pairwise
 from typing import Iterator
 
-from .exact import check_digit_cap, int_isqrt, sqrt5_within
-from .series import iter_partial_sums
+from .exact import check_digit_cap, sqrt5_floor, sqrt5_within_pq
+from .sequences import iter_minimal_extra_super
+from .series import iter_scaled_partial_sums
 
 # Externally claimed index for a 36-digit conjugate match; carried in reports
 # for comparison against the measured indices, never asserted.
 CLAIMED_PHI_MATCH_N = 40
-
-_METHODS = ("ratio", "series")
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,6 @@ class PhiMatchResult:
     claimed_n: int = CLAIMED_PHI_MATCH_N
 
 
-def _z_pair(i: int) -> tuple[int, int]:
-    """(z_{i-1}, z_i) via the linear recurrence z_i = 3*z_{i-1} - z_{i-2}."""
-    prev, cur = 1, 2
-    for _ in range(i - 1):
-        prev, cur = cur, 3 * cur - prev
-    return prev, cur
-
-
 def term_ratio_mu(i: int) -> Fraction:
     """a_i / a_{i-1}, which is 2 at every index because a_i = 2**i."""
     if i < 1:
@@ -78,7 +73,7 @@ def term_ratio_nu(i: int) -> Fraction:
     """
     if i < 1:
         raise ValueError("term ratios start at index 1")
-    prev, cur = _z_pair(i)
+    prev, cur = islice(iter_minimal_extra_super(), i - 1, i + 1)
     return Fraction(cur, prev)
 
 
@@ -102,15 +97,26 @@ def iter_ratio_records(start: int = 1) -> Iterator[RatioRecord]:
     """Rolling sweep of records from ``start`` upward, O(1) work per step."""
     if start < 1:
         raise ValueError("term ratios start at index 1")
-    z_prev, z_cur = _z_pair(start)
     mu = Fraction(2)
-    i = start
-    while True:
+    terms = islice(iter_minimal_extra_super(), start - 1, None)
+    for i, (z_prev, z_cur) in enumerate(pairwise(terms), start):
         nu = Fraction(z_cur, z_prev)
         diff = nu - mu
         yield RatioRecord(i, mu, nu, diff, 2 * diff + 1)
-        z_prev, z_cur = z_cur, 3 * z_cur - z_prev
-        i += 1
+
+
+def iter_approximants(method: str) -> Iterator[tuple[int, int, int]]:
+    """Triples (n, p, q) from n = 1 upward, p/q the n-th sqrt(5) approximant.
+
+    For ``"ratio"``, p/q = (2*z_n - 3*z_{n-1}) / z_{n-1} = 2 * diff + 1; for
+    ``"series"``, p/q = N_n / 16**n.  The pairs are not reduced.
+    """
+    if method == "series":
+        return islice(iter_scaled_partial_sums(), 1, None)
+    if method == "ratio":
+        pairs = enumerate(pairwise(iter_minimal_extra_super()), 1)
+        return ((n, 2 * z_cur - 3 * z_prev, z_prev) for n, (z_prev, z_cur) in pairs)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def find_min_n(method: str, target_digits: int) -> int:
@@ -119,20 +125,14 @@ def find_min_n(method: str, target_digits: int) -> int:
     Each verdict is exact.  A linear scan from n = 1 returns the minimum
     because both methods have strictly decreasing absolute error.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    approximants = iter_approximants(method)
     if target_digits < 1:
         raise ValueError("target digit count must be at least 1")
     check_digit_cap(target_digits)
-    epsilon = Fraction(1, 10 ** target_digits)
-    if method == "series":
-        for n, partial in iter_partial_sums():
-            if n >= 1 and sqrt5_within(partial, epsilon):
-                return n
-    else:
-        for record in iter_ratio_records():
-            if sqrt5_within(record.sqrt5_approx, epsilon):
-                return record.index
+    scale = 10 ** target_digits
+    for n, p, q in approximants:
+        if sqrt5_within_pq(p, q, 1, scale):
+            return n
     raise AssertionError("unreachable")
 
 
@@ -144,24 +144,23 @@ def phi_match_report(precision_digits: int) -> PhiMatchResult:
     2 * diff + 1, that is |2 * diff + 1 - sqrt(5)| < 2 * 10**-precision_digits.
     The prefix notion asks for the truncated decimal renderings of the
     difference and of the conjugate to agree on the first
-    ``precision_digits`` fractional digits, i.e. for floor(10**p * diff) to
-    equal floor(10**p * conjugate) = (isqrt(5 * 10**(2p)) - 10**p) // 2.
+    ``precision_digits`` = d fractional digits, i.e. for floor(10**d * diff)
+    to equal floor(10**d * conjugate) = (isqrt(5 * 10**(2d)) - 10**d) // 2.
+    For the approximant p/q = (2*z_n - 3*z_{n-1}) / z_{n-1}, the difference
+    is (z_n - 2*z_{n-1}) / z_{n-1} = ((p - q) / 2) / q.
     """
     if precision_digits < 1:
         raise ValueError("precision must be at least 1 digit")
     check_digit_cap(precision_digits)
     scale = 10 ** precision_digits
-    epsilon = Fraction(2, scale)
-    wanted_prefix = (int_isqrt(5 * scale * scale) - scale) // 2
+    wanted_prefix = (sqrt5_floor(precision_digits) - scale) // 2
     strict_n: int | None = None
     prefix_n: int | None = None
-    for record in iter_ratio_records():
-        if strict_n is None and sqrt5_within(record.sqrt5_approx, epsilon):
-            strict_n = record.index
-        if prefix_n is None and (
-            record.diff.numerator * scale // record.diff.denominator == wanted_prefix
-        ):
-            prefix_n = record.index
+    for n, p, q in iter_approximants("ratio"):
+        if strict_n is None and sqrt5_within_pq(p, q, 2, scale):
+            strict_n = n
+        if prefix_n is None and (p - q) // 2 * scale // q == wanted_prefix:
+            prefix_n = n
         if strict_n is not None and prefix_n is not None:
             return PhiMatchResult(precision_digits, strict_n, prefix_n)
     raise AssertionError("unreachable")

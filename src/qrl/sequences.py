@@ -11,6 +11,7 @@ sequences admissible under each rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 SEQUENCE_KINDS = (
@@ -152,21 +153,29 @@ def minimal_extra_super(n: int) -> IntSequence:
     return IntSequence(tuple(terms), "minimal_extra_super")
 
 
+def iter_minimal_extra_super() -> Iterator[int]:
+    """Endless stream z_0, z_1, ... of the minimal extra-super-increasing sequence.
+
+    Uses z_0 = 1, z_1 = 2, z_i = 3*z_{i-1} - z_{i-2}, started one step early
+    from z_{-1} = 1; the equivalence with the definitional construction is
+    established by the test suite, not assumed here.
+    """
+    prev, cur = 1, 1
+    while True:
+        yield cur
+        prev, cur = cur, 3 * cur - prev
+
+
 def minimal_extra_super_fast(n: int) -> IntSequence:
     """Linear-time equivalent of :func:`minimal_extra_super`.
 
-    Uses z_0 = 1, z_1 = 2, z_i = 3*z_{i-1} - z_{i-2}; the equivalence with
-    the definitional construction is established by the test suite, not
-    assumed here.
+    The first n+1 terms of :func:`iter_minimal_extra_super`.
     """
     if n < 0:
         raise ValueError("sequence length index must be nonnegative")
-    if n == 0:
-        return IntSequence((1,), "minimal_extra_super")
-    terms = [1, 2]
-    for _ in range(n - 1):
-        terms.append(3 * terms[-1] - terms[-2])
-    return IntSequence(tuple(terms), "minimal_extra_super")
+    return IntSequence(
+        tuple(islice(iter_minimal_extra_super(), n + 1)), "minimal_extra_super"
+    )
 
 
 def read_sequence_file(path) -> IntSequence:

@@ -1,30 +1,26 @@
-"""Binomial-series approximation of sqrt(5) with exact rational partial sums.
+"""Binomial-series approximation of sqrt(5) with exact integer partial sums.
 
 sqrt(5) = 2 * (1 + 1/4)**(1/2), and the square-root binomial series at
 x = 1/4 gives sqrt(5) = 2 * sum(c_n / 4**n) with
 
     c_0 = 1,  c_n = (-1)**(n-1) * (2n)! / (4**n * (n!)**2 * (2n - 1)).
 
-Coefficients are advanced incrementally by the rational step between
-consecutive coefficients, which keeps a length-N sweep linear in N.  Every
-partial sum has a power-of-two denominator, so its decimal expansion
-terminates and can be rendered exactly.
+With C the Catalan numbers, c_n = (-1)**(n-1) * 2 * C_{n-1} / 4**n, so the
+n-th partial sum is S_n = N_n / 16**n for the integer
+
+    N_0 = 2,  N_n = 16 * N_{n-1} + (-1)**(n-1) * 4 * C_{n-1},
+
+with C_n = C_{n-1} * (4n - 2) / (n + 1).  Sweeps step this recurrence on
+plain integers, with no gcd per step; the ``Fraction`` views reduce only the
+values they hand out.  Every partial sum has a power-of-two denominator, so
+its decimal expansion terminates and can be rendered exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterator
-
-
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One series term: coefficient c_n and its contribution 2 * c_n / 4**n."""
-
-    index: int
-    coefficient: Fraction
-    contribution: Fraction
 
 
 def _coefficient_step(n: int) -> Fraction:
@@ -32,20 +28,8 @@ def _coefficient_step(n: int) -> Fraction:
     return Fraction(-(2 * n - 3), 2 * n)
 
 
-def iter_terms() -> Iterator[SeriesTerm]:
-    """Infinite stream of series terms, starting at index 0."""
-    coefficient = Fraction(1)
-    scale = Fraction(2)
-    n = 0
-    while True:
-        yield SeriesTerm(n, coefficient, coefficient * scale)
-        n += 1
-        coefficient *= _coefficient_step(n)
-        scale /= 4
-
-
 def binomial_coefficient_term(n: int) -> Fraction:
-    """The coefficient c_n.
+    """The coefficient c_n, stepped from c_0 by the definitional ratio.
 
     c_0 is 1 by definition: at n = 0 the sign factor and the (2n - 1)
     denominator factor are both -1 and cancel, and hard-coding the product
@@ -62,12 +46,22 @@ def binomial_coefficient_term(n: int) -> Fraction:
     return coefficient
 
 
+def iter_scaled_partial_sums() -> Iterator[tuple[int, int, int]]:
+    """Triples (n, N_n, 16**n) with S_n = N_n / 16**n, from n = 0 upward."""
+    numerator, scale, catalan = 2, 1, 1
+    yield 0, numerator, scale
+    for n in count(1):
+        step = 4 * catalan
+        numerator = 16 * numerator + (step if n % 2 else -step)
+        scale <<= 4
+        yield n, numerator, scale
+        catalan = catalan * (4 * n - 2) // (n + 1)
+
+
 def iter_partial_sums() -> Iterator[tuple[int, Fraction]]:
     """Pairs (n, S_n) where S_n = 2 * sum(c_k / 4**k for k <= n)."""
-    total = Fraction(0)
-    for term in iter_terms():
-        total += term.contribution
-        yield term.index, total
+    for n, numerator, scale in iter_scaled_partial_sums():
+        yield n, Fraction(numerator, scale)
 
 
 def sqrt5_series_partial(n: int) -> Fraction:
@@ -78,7 +72,7 @@ def sqrt5_series_partial(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("partial sum index must be nonnegative")
-    for index, total in iter_partial_sums():
+    for index, numerator, scale in iter_scaled_partial_sums():
         if index == n:
-            return total
+            return Fraction(numerator, scale)
     raise AssertionError("unreachable")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -47,16 +48,26 @@ class TestBuildComparison:
         for record in small_report.series_records:
             assert record.error_sign == (1 if record.n % 2 == 1 else -1)
 
-    def test_correct_digits_consistent_with_exact_error(self, small_report):
-        reference = sqrt5_reference_fraction(40)
+    @pytest.mark.parametrize(
+        "n_max, ref_digits, targets",
+        [
+            (16, 40, [5, 8]),
+            # errors fall below 10**-20, where the exact fallback scores them
+            (100, 20, [5, 10]),
+        ],
+        ids=["16-40", "100-20"],
+    )
+    def test_correct_digits_consistent_with_exact_error(self, n_max, ref_digits, targets):
+        report = build_comparison(n_max, ref_digits, targets)
+        reference = sqrt5_reference_fraction(ref_digits)
         for record, value in zip(
-            small_report.series_records,
-            (sqrt5_series_partial(n) for n in range(1, 17)),
+            report.series_records,
+            (sqrt5_series_partial(n) for n in range(1, n_max + 1)),
         ):
             error = abs(value - reference)
             d = record.correct_digits
             assert Fraction(1, 10 ** (d + 1)) <= error < Fraction(1, 10 ** d)
-        for record in small_report.ratio_records:
+        for record in report.ratio_records:
             error = abs(sqrt5_via_ratio(record.n) - reference)
             d = record.correct_digits
             if error < 1:
@@ -128,6 +139,22 @@ class TestEmission:
         data = emit_report(report, "json").decode("utf-8")
         assert '"first_n_to_reach": {}' in data
         assert report_from_json(data) == report
+
+    @pytest.mark.parametrize("targets", [[5, 8], []], ids=["targets", "no-targets"])
+    def test_json_is_canonical_indent_two(self, targets):
+        text = emit_report(build_comparison(16, 40, targets), "json").decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_table_rows_aligned(self, small_report):
+        lines = emit_report(small_report, "table").decode("utf-8").split("\n")
+        start = lines.index("") + 1
+        grid = [line.split() for line in lines[start:-1]]
+        assert grid[0] == ["method", "n", "approx", "abs_error", "sign", "correct"]
+        assert len(grid) == 1 + 2 * 16
+        widths = [max(len(row[col]) for row in grid) for col in range(6)]
+        for line, row in zip(lines[start:-1], grid):
+            assert line == "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+        assert {row[4] for row in grid[1:]} <= {"+1", "-1"}
 
     def test_table_contains_summary(self, small_report):
         text = emit_report(small_report, "table").decode("utf-8")

@@ -80,6 +80,21 @@ class TestSeqCommands:
         )
         assert result.returncode == 2
 
+    def test_closed_pipe_is_a_quiet_exit(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qrl", "seq", "gen", "--kind", "min-super", "--n", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
 
 class TestSqrt5Command:
     def test_series_exact_terminating_decimal(self):
@@ -194,6 +209,14 @@ class TestDigitCapEnvironment:
             env_extra={"QRL_DIGIT_CAP": "30"},
         )
         assert result.returncode == 2
+        assert b"cap" in result.stderr
+        # without --digits the series digit count is derived, then capped
+        result = run_cli(
+            "sqrt5", "--method", "series", "--n", "100",
+            env_extra={"QRL_DIGIT_CAP": "100"},
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
         assert b"cap" in result.stderr
 
     def test_cap_allows_at_limit(self):

@@ -1,4 +1,5 @@
 import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,34 +10,16 @@ from qrl import exact
 from qrl.exact import (
     DecimalString,
     DigitCapExceeded,
-    abs_error,
     correct_digits,
-    int_isqrt,
     int_nth_root,
     parse_decimal,
     rational_to_decimal,
     sqrt5_reference,
     sqrt5_reference_fraction,
     sqrt5_within,
+    sqrt5_within_pq,
     terminating_digits,
 )
-
-
-class TestIntIsqrt:
-    def test_examples(self):
-        assert int_isqrt(0) == 0
-        assert int_isqrt(25) == 5
-        assert int_isqrt(5 * 10 ** 4) == 223
-        assert 223 ** 2 <= 5 * 10 ** 4 < 224 ** 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            int_isqrt(-1)
-
-    @given(st.integers(min_value=0, max_value=10 ** 200))
-    def test_floor_contract(self, x):
-        r = int_isqrt(x)
-        assert r * r <= x < (r + 1) * (r + 1)
 
 
 class TestIntNthRoot:
@@ -179,7 +162,7 @@ class TestSqrt5Reference:
 
 def _truncation(digits):
     """sqrt(5) truncated to ``digits`` fractional digits, as a Fraction."""
-    return Fraction(int_isqrt(5 * 10 ** (2 * digits)), 10 ** digits)
+    return Fraction(math.isqrt(5 * 10 ** (2 * digits)), 10 ** digits)
 
 
 def _within_by_squares(a, eps):
@@ -231,15 +214,23 @@ class TestSqrt5Within:
     def test_agrees_with_squared_bounds(self, value, eps):
         assert sqrt5_within(value, eps) == _within_by_squares(value, eps)
 
+    @given(
+        st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10, max_denominator=10 ** 9),
+        st.fractions(min_value=Fraction(1, 10 ** 12), max_value=5, max_denominator=10 ** 12),
+        st.integers(1, 10 ** 30),
+        st.integers(1, 10 ** 6),
+    )
+    def test_unreduced_pairs_agree(self, value, eps, c, k):
+        p, q = value.numerator, value.denominator
+        e0, scale = eps.numerator, eps.denominator
+        verdict = sqrt5_within(value, eps)
+        assert sqrt5_within_pq(c * p, c * q, e0, scale) == verdict
+        assert sqrt5_within_pq(c * p, c * q, k * e0, k * scale) == verdict
 
-class TestAbsError:
-    def test_examples(self):
-        assert abs_error(Fraction(9, 4), Fraction(9, 4)) == 0
-        assert abs_error(Fraction(9, 4), 2) == Fraction(1, 4)
-
-    def test_against_reference(self):
-        err = abs_error(Fraction(9, 4), sqrt5_reference_fraction(30))
-        assert Fraction(139, 10 ** 4) < err < Fraction(140, 10 ** 4)
+    def test_pq_nonpositive_arguments_rejected(self):
+        for args in ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, -1, 1), (1, 1, 1, 0)):
+            with pytest.raises(ValueError):
+                sqrt5_within_pq(*args)
 
 
 class TestTerminatingDigits:
@@ -251,6 +242,9 @@ class TestTerminatingDigits:
             (Fraction(2), 0),
             (Fraction(1, 3), None),
             (Fraction(682, 305), None),
+            (Fraction(3, 2 ** 4000), 4000),
+            (Fraction(1, 2 ** 3 * 5 ** 9), 9),
+            (Fraction(1, 2 ** 700 * 3), None),
         ],
     )
     def test_cases(self, q, expected):

@@ -15,6 +15,7 @@ from qrl.golden import quadratic_residual
 from qrl.ratio import (
     CLAIMED_PHI_MATCH_N,
     find_min_n,
+    iter_approximants,
     iter_ratio_records,
     phi_match_report,
     ratio_diff,
@@ -22,7 +23,8 @@ from qrl.ratio import (
     term_ratio_mu,
     term_ratio_nu,
 )
-from qrl.series import iter_partial_sums
+from qrl.sequences import minimal_extra_super
+from qrl.series import binomial_coefficient_term, iter_partial_sums, sqrt5_series_partial
 
 from reference_data import (
     DIFF_TRUNCATED,
@@ -152,6 +154,33 @@ class TestSqrt5ViaRatio:
         record = next(iter_ratio_records(start=8))
         assert record.index == 8
         assert record.diff == Fraction(377, 610)
+
+
+class TestApproximantStreams:
+    N = 300
+
+    def test_pairs_equal_point_values(self):
+        for method, point in (("series", sqrt5_series_partial), ("ratio", sqrt5_via_ratio)):
+            stream = islice(iter_approximants(method), self.N)
+            for expected_n, (n, p, q) in enumerate(stream, 1):
+                assert n == expected_n
+                assert Fraction(p, q) == point(n)
+
+    def test_pairs_equal_definitional_values(self):
+        # the definitional paths: the weighted-sum sequence and the
+        # coefficient-by-coefficient binomial sum
+        z = minimal_extra_super(self.N).terms
+        series_sum = Fraction(2)
+        series = islice(iter_approximants("series"), self.N)
+        ratio = islice(iter_approximants("ratio"), self.N)
+        for (n, p, q), (m, r, s) in zip(series, ratio):
+            series_sum += 2 * binomial_coefficient_term(n) / 4 ** n
+            assert Fraction(p, q) == series_sum
+            assert m == n and Fraction(r, s) == 2 * (Fraction(z[n], z[n - 1]) - 2) + 1
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            iter_approximants("newton")
 
 
 class TestMonotoneApproach:

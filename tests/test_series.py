@@ -13,7 +13,6 @@ from qrl.exact import (
 from qrl.series import (
     binomial_coefficient_term,
     iter_partial_sums,
-    iter_terms,
     sqrt5_series_partial,
 )
 
@@ -54,16 +53,10 @@ class TestCoefficients:
             binomial_coefficient_term(-1)
 
     def test_sign_pattern(self):
-        terms = list(islice(iter_terms(), 60))
-        assert terms[0].coefficient == 1
-        assert terms[1].coefficient > 0
-        for term in terms[1:]:
-            expected_sign = 1 if (term.index - 1) % 2 == 0 else -1
-            assert (1 if term.coefficient > 0 else -1) == expected_sign
-
-    def test_contribution_definition(self):
-        for term in islice(iter_terms(), 40):
-            assert term.contribution == 2 * term.coefficient * Fraction(1, 4 ** term.index)
+        assert binomial_coefficient_term(0) == 1
+        for n in range(1, 60):
+            expected_sign = 1 if (n - 1) % 2 == 0 else -1
+            assert (1 if binomial_coefficient_term(n) > 0 else -1) == expected_sign
 
 
 class TestPartialSums:
@@ -87,12 +80,11 @@ class TestPartialSums:
             assert partial.denominator & (partial.denominator - 1) == 0
 
     def test_incremental_consistency(self):
+        # the integer recurrence adds exactly the definitional term 2 c_n / 4**n
         previous = None
-        terms = iter_terms()
         for n, partial in islice(iter_partial_sums(), 60):
-            term = next(terms)
             if previous is not None:
-                assert partial - previous == term.contribution
+                assert partial - previous == 2 * binomial_coefficient_term(n) / 4 ** n
             previous = partial
 
 
