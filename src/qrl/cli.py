@@ -134,6 +134,16 @@ def _cmd_seq_check(args: argparse.Namespace) -> int:
     return 1
 
 
+def _series_digits(n: int) -> int:
+    """Fractional digits of the terminating expansion of the partial sum S_n.
+
+    S_n = N_n / 16**n, and N_n keeps the 2-adic valuation of its last step
+    2**2 * C_{n-1}, which is popcount(n) + 1 by Kummer's theorem.  So S_n has
+    denominator 2**(4n - 1 - popcount(n)), and 1 / 2**k has k digits.
+    """
+    return 4 * n - 1 - bin(n).count("1") if n else 0
+
+
 def _cmd_sqrt5(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if getattr(args, "sqrt5_command", None) == "find-n":
         print(ratio.find_min_n(args.method, args.digits))
@@ -145,11 +155,11 @@ def _cmd_sqrt5(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.method == "series":
         if args.n < 0:
             raise ValueError("--n must be nonnegative for the series method")
-        value = series.sqrt5_series_partial(args.n)
         digits = args.digits
         if digits is None:
-            digits = exact.terminating_digits(value)
+            digits = _series_digits(args.n)
             exact.check_digit_cap(digits)
+        value = series.sqrt5_series_partial(args.n)
     else:
         if args.n < 1:
             raise ValueError("--n must be at least 1 for the ratio method")

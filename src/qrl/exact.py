@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,21 +54,31 @@ def check_digit_cap(digits: int) -> None:
         raise DigitCapExceeded(f"{digits} digits requested, cap is {limit}")
 
 
+@contextmanager
+def _int_str_guard_lifted():
+    """Lift CPython's int/str digit guard, and restore the caller's limit after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _int_str(x: int) -> str:
-    # CPython guards huge int->str conversions; raise the guard just enough.
     try:
         return str(x)
     except ValueError:
-        sys.set_int_max_str_digits(max(640, x.bit_length() // 3 + 16))
-        return str(x)
+        with _int_str_guard_lifted():
+            return str(x)
 
 
 def _str_int(s: str) -> int:
-    if hasattr(sys, "get_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
-        if limit and len(s) > limit:
-            sys.set_int_max_str_digits(max(640, len(s) + 16))
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:
+        with _int_str_guard_lifted():
+            return int(s)
 
 
 def int_nth_root(x: int, n: int) -> int:
@@ -261,7 +272,9 @@ def correct_digits(error: Fraction) -> int:
     num, den = err.numerator, err.denominator
     if num >= den:
         return 0
-    d = len(_int_str(den)) - len(_int_str(num))
+    # den / num lies strictly between 2**(b-1) and 2**(b+1) for the bit-length
+    # difference b, so this guess is at most one off; the loops settle it.
+    d = int((den.bit_length() - num.bit_length()) * math.log10(2))
     while d > 0 and num * 10 ** d >= den:
         d -= 1
     while num * 10 ** (d + 1) < den:

@@ -8,19 +8,27 @@ golden ratio conjugate, and 2 * (nu_i - mu_i) + 1 approximates sqrt(5) from
 below, one-sidedly and monotonically.
 
 Every nu value and approximant here reads the one z recurrence,
-:func:`qrl.sequences.iter_minimal_extra_super`, so a scan to index N costs
-O(N) big-integer operations and no shared state.  The n-th approximant is
+:func:`qrl.sequences.iter_minimal_extra_super`, so a walk to index N costs
+O(N) linear-time big-integer steps and no shared state.  The n-th approximant is
 the integer pair (2*z_n - 3*z_{n-1}, z_{n-1}); searches take such pairs, and
-those of the series, from :func:`iter_approximants` and decide each
-threshold exactly with :func:`qrl.exact.sqrt5_within_pq`, with no gcd per
-step and no truncated reference.
+those of the series, from :func:`iter_approximants`.
+
+Both errors fall at known rates: z_i = F_{2i+1}, so the ratio error is
+exactly 2*sqrt(5) / (phi**(4n-2) + 1), and the series error is about
+4/(5*sqrt(pi)) * 4**-(n+1) * (n+1)**-1.5.  A search therefore walks the
+stream, testing nothing, to a predicted index just below the answer, and
+only from there decides each threshold exactly with
+:func:`qrl.exact.sqrt5_within_pq`.  The prediction never decides a result:
+the errors fall strictly, so a miss at the predicted index proves every
+earlier index misses too, and a hit there sends the scan back to n = 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise
 from typing import Iterator
 
 from .exact import check_digit_cap, sqrt5_floor, sqrt5_within_pq
@@ -30,6 +38,11 @@ from .series import iter_scaled_partial_sums
 # Externally claimed index for a 36-digit conjugate match; carried in reports
 # for comparison against the measured indices, never asserted.
 CLAIMED_PHI_MATCH_N = 40
+
+# Decimal digits gained per step: 4 * log10(phi) for the ratio, log10(4) for
+# the series (whose error also carries a factor (n+1)**-1.5).
+_RATIO_RATE = 4 * math.log10((1 + math.sqrt(5)) / 2)
+_SERIES_RATE = math.log10(4)
 
 
 @dataclass(frozen=True)
@@ -119,18 +132,57 @@ def iter_approximants(method: str) -> Iterator[tuple[int, int, int]]:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _start_index(method: str, e0: int, scale: int) -> int:
+    """An index predicted to lie at or just below the first n with error < e0 / scale.
+
+    It solves the error rates of the module docstring for n, with
+    log10(scale) read low from its bit length and the result floored; for
+    the series, (n+1)**-1.5 is taken at an n above the answer.
+    """
+    target = (scale.bit_length() - 1) * math.log10(2) - math.log10(e0)
+    if method == "ratio":
+        n = (target + math.log10(2 * math.sqrt(5))) / _RATIO_RATE + 0.5
+    else:
+        above = target / _SERIES_RATE + 1
+        n = (
+            target - math.log10(5 * math.sqrt(math.pi) / 4) - 1.5 * math.log10(above)
+        ) / _SERIES_RATE - 1
+    return max(1, math.floor(n))
+
+
+def _scan_from_start(
+    method: str, e0: int, scale: int
+) -> Iterator[tuple[int, int, int]]:
+    """The approximants a search for error < e0 / scale has to test.
+
+    The stream is walked to :func:`_start_index` without a test.  If the
+    threshold fails there, every earlier index fails too (the error falls
+    strictly), so the scan goes on from there; if it already holds, the
+    prediction overshot and the scan restarts at n = 1.
+    """
+    stream = iter_approximants(method)
+    start = _start_index(method, e0, scale)
+    first = next(islice(stream, start - 1, None))
+    n, p, q = first
+    if n > 1 and sqrt5_within_pq(p, q, e0, scale):
+        return iter_approximants(method)
+    return chain([first], stream)
+
+
 def find_min_n(method: str, target_digits: int) -> int:
     """Smallest n with |approx(n) - sqrt(5)| < 10**-target_digits.
 
-    Each verdict is exact.  A linear scan from n = 1 returns the minimum
-    because both methods have strictly decreasing absolute error.
+    The scan starts at an index predicted from the method's error rate and
+    decides each n exactly with :func:`qrl.exact.sqrt5_within_pq`.  Both
+    methods have strictly decreasing absolute error, so a miss at the
+    predicted start rules out every earlier n, and a hit there restarts the
+    scan at n = 1: the result is the minimum whatever the prediction.
     """
-    approximants = iter_approximants(method)
     if target_digits < 1:
         raise ValueError("target digit count must be at least 1")
     check_digit_cap(target_digits)
     scale = 10 ** target_digits
-    for n, p, q in approximants:
+    for n, p, q in _scan_from_start(method, 1, scale):
         if sqrt5_within_pq(p, q, 1, scale):
             return n
     raise AssertionError("unreachable")
@@ -148,6 +200,11 @@ def phi_match_report(precision_digits: int) -> PhiMatchResult:
     to equal floor(10**d * conjugate) = (isqrt(5 * 10**(2d)) - 10**d) // 2.
     For the approximant p/q = (2*z_n - 3*z_{n-1}) / z_{n-1}, the difference
     is (z_n - 2*z_{n-1}) / z_{n-1} = ((p - q) / 2) / q.
+
+    The scan starts at the index predicted for the strict tolerance, as in
+    :func:`find_min_n`.  The difference rises to the conjugate from below,
+    so a prefix match implies a strict one: a strict miss at the start rules
+    out both notions at every earlier n, and each verdict is exact.
     """
     if precision_digits < 1:
         raise ValueError("precision must be at least 1 digit")
@@ -156,7 +213,7 @@ def phi_match_report(precision_digits: int) -> PhiMatchResult:
     wanted_prefix = (sqrt5_floor(precision_digits) - scale) // 2
     strict_n: int | None = None
     prefix_n: int | None = None
-    for n, p, q in iter_approximants("ratio"):
+    for n, p, q in _scan_from_start("ratio", 2, scale):
         if strict_n is None and sqrt5_within_pq(p, q, 2, scale):
             strict_n = n
         if prefix_n is None and (p - q) // 2 * scale // q == wanted_prefix:

@@ -2,6 +2,9 @@ import os
 import subprocess
 import sys
 
+from qrl import cli, series
+from qrl.exact import terminating_digits
+
 from reference_data import (
     MINIMAL_EXTRA_SUPER_7,
     PHI_36,
@@ -129,6 +132,11 @@ class TestSqrt5Command:
             run_cli("sqrt5", "find-n", "--method", "series", "--digits", "8")
         ) == "10\n"
 
+    def test_series_digits_formula(self):
+        for n in range(401):
+            value = series.sqrt5_series_partial(n)
+            assert cli._series_digits(n) == terminating_digits(value)
+
 
 class TestPhiCommands:
     def test_continued_fraction(self):
@@ -218,6 +226,17 @@ class TestDigitCapEnvironment:
         assert result.returncode == 2
         assert result.stdout == b""
         assert b"cap" in result.stderr
+
+    def test_series_cap_checked_before_summing(self, monkeypatch, capsys):
+        def unreachable(n):
+            raise AssertionError("the partial sum was computed")
+
+        monkeypatch.delenv("QRL_DIGIT_CAP", raising=False)
+        monkeypatch.setattr(series, "sqrt5_series_partial", unreachable)
+        assert cli.main(["sqrt5", "--method", "series", "--n", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 399993 digits requested, cap is 100000\n"
 
     def test_cap_allows_at_limit(self):
         result = run_cli(

@@ -1,9 +1,10 @@
 import decimal
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qrl import exact
@@ -281,6 +282,35 @@ class TestCorrectDigits:
             assert Fraction(1, 10 ** (d + 1)) <= mag < Fraction(1, 10 ** d)
         else:
             assert d == 0
+
+    @given(
+        st.integers(1, 10 ** 40),
+        st.integers(0, 5000),
+        st.integers(-3, 3),
+        st.integers(1, 10 ** 40),
+    )
+    @example(1, 5000, 0, 1)
+    @example(10 ** 39, 4400, -1, 7)
+    def test_agrees_with_power_of_ten_definition(self, num, k, offset, factor):
+        # denominators near 10**k, and up to 5040 digits long, past CPython's
+        # 4300-digit int/str guard
+        err = Fraction(num, max(1, 10 ** k + offset) * factor)
+        d = correct_digits(err)
+        if err < 1:
+            assert err < Fraction(1, 10 ** d)
+            assert err >= Fraction(1, 10 ** (d + 1))
+        else:
+            assert d == 0
+
+
+class TestIntStrGuard:
+    def test_limit_left_unchanged(self):
+        before = sys.get_int_max_str_digits()
+        value = Fraction(10 ** 20000 - 1, 10 ** 10)
+        rendered = rational_to_decimal(value, 10)
+        assert len(str(rendered)) == 20001
+        assert rendered.to_fraction() == value
+        assert sys.get_int_max_str_digits() == before
 
 
 class TestFractionInvariants:

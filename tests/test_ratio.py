@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -10,7 +11,9 @@ from qrl.exact import (
     DigitCapExceeded,
     rational_to_decimal,
     sqrt5_reference_fraction,
+    sqrt5_within_pq,
 )
+from qrl import ratio as ratio_module
 from qrl.golden import quadratic_residual
 from qrl.ratio import (
     CLAIMED_PHI_MATCH_N,
@@ -248,6 +251,64 @@ class TestFindMinN:
         monkeypatch.setenv(DIGIT_CAP_ENV, "50")
         with pytest.raises(DigitCapExceeded):
             find_min_n("ratio", 100)
+
+
+def exact_scan_min_n(method, digits, e0=1):
+    """First n with |p/q - sqrt(5)| < e0 * 10**-digits, scanning from n = 1."""
+    scale = 10 ** digits
+    for n, p, q in iter_approximants(method):
+        if sqrt5_within_pq(p, q, e0, scale):
+            return n
+
+
+def exact_scan_prefix_n(digits):
+    """First n whose difference shares the conjugate's first ``digits`` digits."""
+    scale = 10 ** digits
+    wanted = (math.isqrt(5 * scale * scale) - scale) // 2
+    for n, p, q in iter_approximants("ratio"):
+        if (p - q) // 2 * scale // q == wanted:
+            return n
+
+
+class TestPredictedStart:
+    def test_agrees_with_linear_scan(self):
+        for digits in range(1, 151):
+            scale = 10 ** digits
+            for method in ("ratio", "series"):
+                expected = exact_scan_min_n(method, digits)
+                assert find_min_n(method, digits) == expected
+                # the prediction lands below the answer, so no restart is needed
+                start = ratio_module._start_index(method, 1, scale)
+                assert start == 1 or start < expected
+            strict_n = exact_scan_min_n("ratio", digits, e0=2)
+            report = phi_match_report(digits)
+            assert (report.strict_error_n, report.prefix_n) == (
+                strict_n,
+                exact_scan_prefix_n(digits),
+            )
+            start = ratio_module._start_index("ratio", 2, scale)
+            assert start == 1 or start < strict_n
+
+    def test_overshooting_prediction_falls_back(self, monkeypatch):
+        predict = ratio_module._start_index
+        monkeypatch.setattr(
+            ratio_module,
+            "_start_index",
+            lambda method, e0, scale: 10 * predict(method, e0, scale) + 50,
+        )
+        for digits in (1, 5, 36, 100):
+            for method in ("ratio", "series"):
+                assert find_min_n(method, digits) == exact_scan_min_n(method, digits)
+            report = phi_match_report(digits)
+            assert report.strict_error_n == exact_scan_min_n("ratio", digits, e0=2)
+            assert report.prefix_n == exact_scan_prefix_n(digits)
+
+    def test_minimal_at_twenty_thousand_digits(self):
+        scale = 10 ** 20000
+        n = find_min_n("ratio", 20000)
+        (_, p0, q0), (_, p1, q1) = islice(iter_approximants("ratio"), n - 2, n)
+        assert sqrt5_within_pq(p1, q1, 1, scale)
+        assert not sqrt5_within_pq(p0, q0, 1, scale)
 
 
 class TestPhiMatch:
